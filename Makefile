@@ -3,18 +3,18 @@
 METRICS_DIR  ?= metrics
 BASELINE     := ci/latency_baseline.json
 RSS_BASELINE := ci/rss_baseline.json
-GATED        := $(METRICS_DIR)/e11_server_shard_scaling.json \
-                $(METRICS_DIR)/e12_callback_batching.json \
+GATED        := $(METRICS_DIR)/e12_callback_batching.json \
                 $(METRICS_DIR)/e13_client_scaling.json \
                 $(METRICS_DIR)/e14_recovery_shootout.json \
                 $(METRICS_DIR)/e15_trace_attribution.json \
                 $(METRICS_DIR)/e16_memory_cliff.json \
-                $(METRICS_DIR)/e17_wire_overhead.json
+                $(METRICS_DIR)/e17_wire_overhead.json \
+                $(METRICS_DIR)/e18_multi_server_scaleout.json
 
-GATED_BINS   := e11_server_shard_scaling e12_callback_batching \
-                e13_client_scaling e14_recovery_shootout \
-                e15_trace_attribution e16_memory_cliff \
-                e17_wire_overhead
+GATED_BINS   := e12_callback_batching e13_client_scaling \
+                e14_recovery_shootout e15_trace_attribution \
+                e16_memory_cliff e17_wire_overhead \
+                e18_multi_server_scaleout
 
 .PHONY: test check-latency refresh-baselines validate-metrics experiments \
         e16 check-rss refresh-rss-baseline two-process-smoke

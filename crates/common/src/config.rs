@@ -192,15 +192,10 @@ pub struct SystemConfig {
     pub net_latency: Duration,
     /// Simulated latency added to every disk I/O (log force, page write).
     pub disk_latency: Duration,
-    /// Number of independent server shards. Pages are partitioned by
-    /// `PageId % server_shards`; each shard owns its slice of the lock
-    /// table, buffer pool and DCT so requests on different pages never
-    /// contend. `1` reproduces the unsharded server.
-    pub server_shards: usize,
     /// Number of independent server *instances* (partitioned scale-out).
     /// Pages are partitioned across instances by `PageId %
     /// server_instances`; each instance is a full `ServerCore` — its own
-    /// GLM shards, store partition, DCT, server log, checkpoints and §4.1
+    /// GLM, store partition, DCT, server log, checkpoints and §4.1
     /// commit-log ship — and clients route requests through a
     /// `PartitionedServer`. `1` reproduces the single-server system.
     pub server_instances: usize,
@@ -252,7 +247,6 @@ impl Default for SystemConfig {
             lock_timeout: Duration::from_secs(5),
             net_latency: Duration::ZERO,
             disk_latency: Duration::ZERO,
-            server_shards: 1,
             server_instances: 1,
             callback_batching: true,
             group_commit: true,
@@ -291,12 +285,6 @@ impl SystemConfig {
         }
         if self.lock_timeout < Duration::from_millis(10) {
             return Err(FglError::Config("lock_timeout below 10ms".into()));
-        }
-        if self.server_shards == 0 || self.server_shards > 256 {
-            return Err(FglError::Config(format!(
-                "server_shards {} out of supported range [1, 256]",
-                self.server_shards
-            )));
         }
         if self.server_instances == 0 || self.server_instances > 64 {
             return Err(FglError::Config(format!(
@@ -350,12 +338,6 @@ impl SystemConfig {
     /// Builder-style setter for the logging strategy.
     pub fn with_logging_strategy(mut self, s: LoggingStrategyKind) -> Self {
         self.logging_strategy = s;
-        self
-    }
-
-    /// Builder-style setter for the server shard count.
-    pub fn with_server_shards(mut self, n: usize) -> Self {
-        self.server_shards = n;
         self
     }
 
@@ -450,13 +432,13 @@ mod tests {
             .with_granularity(LockGranularity::Page)
             .with_update_policy(UpdatePolicy::UpdateToken)
             .with_commit_policy(CommitPolicy::ServerLog)
-            .with_server_shards(4)
+            .with_server_instances(4)
             .with_callback_batching(false)
             .with_group_commit(false);
         assert_eq!(c.granularity, LockGranularity::Page);
         assert_eq!(c.update_policy, UpdatePolicy::UpdateToken);
         assert_eq!(c.commit_policy, CommitPolicy::ServerLog);
-        assert_eq!(c.server_shards, 4);
+        assert_eq!(c.server_instances, 4);
         assert!(!c.callback_batching);
         assert!(!c.group_commit);
         let d = SystemConfig::default();
@@ -533,18 +515,5 @@ mod tests {
                 .server_instances,
             2
         );
-    }
-
-    #[test]
-    fn rejects_zero_or_excessive_shards() {
-        let mut c = SystemConfig {
-            server_shards: 0,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-        c.server_shards = 512;
-        assert!(c.validate().is_err());
-        c.server_shards = 8;
-        assert!(c.validate().is_ok());
     }
 }

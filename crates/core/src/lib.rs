@@ -54,7 +54,7 @@ pub use fgl_net::{PartitionedServer, ServerApi};
 pub use fgl_obs::{
     CaptureSink, Event, HistKind, HistSnapshot, LogOwner, Metrics, RecoveryPhase, Snapshot,
 };
-pub use fgl_server::{RestartReport, ServerCore, ServerStats, ShardStats};
+pub use fgl_server::{RestartReport, ServerCore, ServerStats};
 pub use fgl_storage::page::Page;
 
 use fgl_storage::disk::{DiskBackend, MemDisk, SimDisk};
@@ -73,7 +73,7 @@ use std::sync::Arc;
 ///
 /// With `cfg.server_instances = N > 1` the builder stands up N
 /// independent server instances (instance `k` owns pages with
-/// `PageId % N == k`, each with its own GLM shards, store partition,
+/// `PageId % N == k`, each with its own GLM, store partition,
 /// DCT, server log and checkpoints), joins their wait graphs through a
 /// [`fgl_locks::DeadlockCoordinator`], and hands every client one
 /// [`PartitionedServer`] routing by page residue class — on either
@@ -325,8 +325,8 @@ impl System {
     }
 
     /// One unified [`Snapshot`]: the registry's histograms and counters
-    /// plus the four legacy stats surfaces — [`ServerStats`] (with its
-    /// per-shard breakdown), the summed [`ClientStats`], the per-kind
+    /// plus the four legacy stats surfaces — [`ServerStats`] (summed, and
+    /// per instance as `srv{k}_*`), the summed [`ClientStats`], the per-kind
     /// [`NetSnapshot`] and the simulated-disk I/O counts — folded in as
     /// named counters. Two of these subtract cleanly via
     /// [`Snapshot::delta_since`] to measure an interval.
@@ -334,11 +334,7 @@ impl System {
         let mut snap = self.server.metrics().snapshot();
 
         // Server counters sum across instances; each instance also
-        // reports under its own `srv{k}_*` namespace, with shard
-        // counters nested as `srv{k}_shard{j}_*` — both axes explicit,
-        // so multi-instance runs cannot collide shard names across
-        // servers. Single-instance systems additionally keep the legacy
-        // flat `shard{j}_*` names E11 consumers read.
+        // reports under its own `srv{k}_*` namespace.
         let per_instance: Vec<ServerStats> = self.servers.iter().map(|s| s.stats()).collect();
         let sum = |f: fn(&ServerStats) -> u64| per_instance.iter().map(f).sum::<u64>();
         snap.set_counter("server_lock_requests", sum(|s| s.lock_requests));
@@ -349,23 +345,12 @@ impl System {
         snap.set_counter("server_checkpoints", sum(|s| s.server_checkpoints));
         snap.set_counter("server_commit_log_ships", sum(|s| s.commit_log_ships));
         snap.set_counter("server_merges", sum(|s| s.merges));
-        let single = per_instance.len() == 1;
         for (k, s) in per_instance.iter().enumerate() {
             snap.set_counter(&format!("srv{k}_lock_requests"), s.lock_requests);
             snap.set_counter(&format!("srv{k}_page_fetches"), s.page_fetches);
             snap.set_counter(&format!("srv{k}_pages_received"), s.pages_received);
             snap.set_counter(&format!("srv{k}_commit_log_ships"), s.commit_log_ships);
             snap.set_counter(&format!("srv{k}_merges"), s.merges);
-            for (j, sh) in s.per_shard.iter().enumerate() {
-                snap.set_counter(&format!("srv{k}_shard{j}_lock_requests"), sh.lock_requests);
-                snap.set_counter(&format!("srv{k}_shard{j}_page_fetches"), sh.page_fetches);
-                snap.set_counter(&format!("srv{k}_shard{j}_merges"), sh.merges);
-                if single {
-                    snap.set_counter(&format!("shard{j}_lock_requests"), sh.lock_requests);
-                    snap.set_counter(&format!("shard{j}_page_fetches"), sh.page_fetches);
-                    snap.set_counter(&format!("shard{j}_merges"), sh.merges);
-                }
-            }
         }
 
         // Active-client set: clients that never ran a transaction report
@@ -1168,48 +1153,66 @@ mod tests {
         }
     }
 
-    /// Satellite 2: multi-instance shard counters nest as
-    /// `srv{k}_shard{j}_*`; the flat legacy `shard{j}_*` names are
-    /// reserved for single-instance systems; per-instance counters sum to
-    /// the global `server_*` axis.
+    /// Every per-instance `srv{k}_*` counter sums to its global
+    /// `server_*` counterpart, and instances are the only partitioning
+    /// axis the metric names know.
     #[test]
-    fn multi_instance_metrics_nest_per_server_shards() {
-        let sys = System::build(
-            quiet_cfg().with_server_instances(2).with_server_shards(2),
-            1,
-        )
-        .unwrap();
-        let c = sys.client(0);
+    fn multi_instance_counters_sum_to_server_totals() {
+        let sys = System::build(quiet_cfg().with_server_instances(2), 2).unwrap();
+        let (c, reader) = (sys.client(0), sys.client(1));
         let (pa, pb) = two_pages_two_partitions(&sys, c);
         let t = c.begin().unwrap();
-        c.insert(t, pa, b"aaaa").unwrap();
-        c.insert(t, pb, b"bbbb").unwrap();
+        let oa = c.insert(t, pa, b"aaaa").unwrap();
+        let ob = c.insert(t, pb, b"bbbb").unwrap();
         c.commit(t).unwrap();
+        // A second client's reads drive lock requests, callbacks and page
+        // fetches on both instances.
+        let t = reader.begin().unwrap();
+        assert_eq!(reader.read(t, oa).unwrap(), b"aaaa");
+        assert_eq!(reader.read(t, ob).unwrap(), b"bbbb");
+        reader.commit(t).unwrap();
 
         let snap = sys.metrics_snapshot();
+        let get = |name: &str| {
+            snap.counters
+                .get(name)
+                .copied()
+                .unwrap_or_else(|| panic!("missing counter {name}"))
+        };
+        let names = [
+            "lock_requests",
+            "page_fetches",
+            "pages_received",
+            "commit_log_ships",
+            "merges",
+        ];
+        for name in names {
+            let per: u64 = (0..2).map(|k| get(&format!("srv{k}_{name}"))).sum();
+            assert_eq!(
+                get(&format!("server_{name}")),
+                per,
+                "server_{name} must equal the instance sum"
+            );
+        }
         for k in 0..2 {
-            for j in 0..2 {
-                assert!(
-                    snap.counters
-                        .contains_key(&format!("srv{k}_shard{j}_lock_requests")),
-                    "missing srv{k}_shard{j}_lock_requests"
-                );
+            assert!(get(&format!("srv{k}_lock_requests")) > 0);
+        }
+        // The instance is the only partition index a server counter name
+        // carries: `srv{k}_{name}`, nothing nested and nothing flat.
+        let instance_prefixes = ["srv0", "srv1"];
+        for key in snap.counters.keys() {
+            for name in names {
+                let Some(head) = key.strip_suffix(&format!("_{name}")) else {
+                    continue;
+                };
+                if head.ends_with(|c: char| c.is_ascii_digit()) {
+                    assert!(
+                        instance_prefixes.contains(&head),
+                        "counter {key} carries a partition index other than the instance"
+                    );
+                }
             }
         }
-        assert!(
-            !snap.counters.contains_key("shard0_lock_requests"),
-            "flat shard names must not leak out of single-instance mode"
-        );
-        let total = snap.counters.get("server_lock_requests").copied().unwrap();
-        let per: u64 = (0..2)
-            .map(|k| {
-                snap.counters
-                    .get(&format!("srv{k}_lock_requests"))
-                    .copied()
-                    .unwrap()
-            })
-            .sum();
-        assert_eq!(total, per, "global axis must equal the instance sum");
     }
 
     /// The router composes with the socket transport: two server

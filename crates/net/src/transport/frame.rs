@@ -54,7 +54,7 @@ pub const HEADER: usize = wire::HEADER;
 /// Handshake magic: `"FGLW"`.
 pub const MAGIC: u32 = 0x4647_4C57;
 /// Codec version carried in the handshake.
-pub const WIRE_VERSION: u16 = 2;
+pub const WIRE_VERSION: u16 = 3;
 /// Upper bound on a single frame; larger length prefixes are corrupt.
 pub const MAX_FRAME: usize = 64 << 20;
 
@@ -1527,7 +1527,6 @@ pub fn encode_hello_ack(cfg: &SystemConfig) -> Vec<Seg> {
     b.u64(cfg.lock_timeout.as_nanos() as u64);
     b.u64(cfg.net_latency.as_nanos() as u64);
     b.u64(cfg.disk_latency.as_nanos() as u64);
-    b.u64(cfg.server_shards as u64);
     b.u64(cfg.server_instances as u64);
     b.u8(cfg.callback_batching as u8);
     b.u8(cfg.group_commit as u8);
@@ -1585,7 +1584,6 @@ pub fn decode_hello_ack(body: &[u8]) -> Result<SystemConfig> {
     let lock_timeout = Duration::from_nanos(c.u64()?);
     let net_latency = Duration::from_nanos(c.u64()?);
     let disk_latency = Duration::from_nanos(c.u64()?);
-    let server_shards = c.u64()? as usize;
     let server_instances = c.u64()? as usize;
     let callback_batching = c.u8()? != 0;
     let group_commit = c.u8()? != 0;
@@ -1607,7 +1605,6 @@ pub fn decode_hello_ack(body: &[u8]) -> Result<SystemConfig> {
         lock_timeout,
         net_latency,
         disk_latency,
-        server_shards,
         server_instances,
         callback_batching,
         group_commit,

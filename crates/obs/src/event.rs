@@ -174,6 +174,14 @@ pub enum Event {
     },
     /// A transaction aborted (rollback complete).
     TxnAbort { client: ClientId, txn: TxnId },
+    /// §3.4 step 3 backstop: a recovering client's partial-state request
+    /// waited out its bound before `provider` recovered `page` past
+    /// `psn`, so the server served its current merged copy instead.
+    RecoveryFetchFallback {
+        provider: ClientId,
+        page: PageId,
+        psn: Psn,
+    },
     /// A restart-recovery phase began.
     RecoveryPhase {
         owner: LogOwner,
@@ -216,6 +224,7 @@ impl Event {
             Event::DeadlockVictim { .. } => "deadlock-victim",
             Event::LockTimeout { .. } => "lock-timeout",
             Event::TxnAbort { .. } => "txn-abort",
+            Event::RecoveryFetchFallback { .. } => "recovery-fetch-fallback",
             Event::RecoveryPhase { .. } => "recovery-phase",
             Event::SpanOpen { .. } => "span-open",
             Event::SpanClose { .. } => "span-close",
@@ -301,6 +310,14 @@ impl fmt::Display for Event {
                 write!(f, "lock-timeout {client} txn={txn} {page}")
             }
             Event::TxnAbort { client, txn } => write!(f, "txn-abort {client} txn={txn}"),
+            Event::RecoveryFetchFallback {
+                provider,
+                page,
+                psn,
+            } => write!(
+                f,
+                "recovery-fetch-fallback {provider} has not recovered {page} past {psn:?}"
+            ),
             Event::RecoveryPhase { owner, phase } => {
                 write!(f, "recovery-phase {owner} {phase:?}")
             }

@@ -7,6 +7,7 @@ use fgl_locks::glm::CallbackKind;
 use fgl_locks::mode::{LockTarget, ObjMode};
 use fgl_net::peer::{CallbackOutcome, ClientPeer, ClientStateReport, RecoveredPageOutcome};
 use fgl_net::stats::NetSim;
+use fgl_obs::{CaptureSink, Event};
 use fgl_server::runtime::{LockResponse, ServerCore};
 use fgl_storage::disk::MemDisk;
 use fgl_storage::page::Page;
@@ -269,4 +270,43 @@ fn checkpoint_snapshots_dct_into_log() {
         "checkpoint anchor advanced"
     );
     assert!(after.1 > before.1, "checkpoint record appended");
+}
+
+#[test]
+fn recovery_fetch_fallback_is_counted_and_reported_once() {
+    // §3.4 step 3: a recovering client needs client 2's state of the page
+    // at a PSN client 2 (down, recovering in parallel) never reaches. The
+    // bounded wait gives up and serves the merged copy; that backstop is a
+    // counter and one typed event.
+    let s = server();
+    let _p1 = register(&s, 1);
+    let bytes = s.allocate_page(ClientId(1), txn(1, 1)).unwrap();
+    let page = Page::from_bytes(bytes).unwrap().id();
+    s.client_crashed(ClientId(2));
+    let (sink, _guard) = CaptureSink::install();
+    let (copy, _) = s
+        .recovery_fetch(ClientId(1), page, Some((ClientId(2), Psn(1 << 40))))
+        .unwrap();
+    assert_eq!(Page::from_bytes(copy).unwrap().id(), page);
+    let fallbacks = s
+        .metrics()
+        .snapshot()
+        .counters
+        .get("server_recovery_fetch_fallbacks")
+        .copied();
+    assert_eq!(fallbacks, Some(1));
+    let events: Vec<Event> = sink
+        .events()
+        .into_iter()
+        .map(|st| st.event)
+        .filter(|e| matches!(e, Event::RecoveryFetchFallback { .. }))
+        .collect();
+    assert_eq!(
+        events,
+        vec![Event::RecoveryFetchFallback {
+            provider: ClientId(2),
+            page,
+            psn: Psn(1 << 40),
+        }]
+    );
 }

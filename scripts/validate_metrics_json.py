@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Schema/content validation for the experiment metrics JSON (E11-E17)
+"""Schema/content validation for the experiment metrics JSON (E12-E18)
 and the Chrome trace-event files the tracing layer exports.
 
 MetricsEmitter writes one file per experiment:
@@ -22,6 +22,7 @@ with µs timestamps, and span names drawn from the known taxonomy.
 """
 
 import json
+import re
 import sys
 
 SPAN_NAMES = {
@@ -36,6 +37,17 @@ SPAN_NAMES = {
 }
 
 HIST_KEYS = ("count", "p50", "p95", "p99", "max")
+
+# Server counters reported both summed (`server_<name>`) and per instance
+# (`srv<k>_<name>`).
+SERVER_COUNTERS = (
+    "lock_requests",
+    "page_fetches",
+    "pages_received",
+    "commit_log_ships",
+    "merges",
+)
+PARTITIONED = re.compile(r"^(.*\d)_(%s)$" % "|".join(SERVER_COUNTERS))
 
 
 def rows_of(doc, experiment):
@@ -53,16 +65,6 @@ def check_commit_hist(m):
     commit = m["histograms"]["commit_us"]
     for key in HIST_KEYS:
         assert key in commit, commit.keys()
-
-
-def validate_e11(doc):
-    rows = rows_of(doc, "e11_server_shard_scaling")
-    for row in rows:
-        m = row["metrics"]
-        assert m["counters"]["client_commits"] > 0, m["counters"]
-        check_commit_hist(m)
-        assert "lock_wait_us" in m["histograms"]
-    return f"{len(rows)} e11 rows"
 
 
 def validate_e12(doc):
@@ -220,8 +222,14 @@ def validate_e18(doc):
         # and the per-instance commit attribution sums to the aggregate.
         per_instance = [c[f"srv{k}_commits"] for k in range(n)]
         assert sum(per_instance) == c["client_commits"], (per_instance, c["client_commits"])
-        for k in range(n):
-            assert f"srv{k}_lock_requests" in c, (n, sorted(c.keys()))
+        for name in SERVER_COUNTERS:
+            per = [c[f"srv{k}_{name}"] for k in range(n)]
+            assert sum(per) == c[f"server_{name}"], (name, per, c[f"server_{name}"])
+        # The instance is the only partition index a server counter
+        # carries: `srv<k>_<name>`, nothing nested and nothing flat.
+        for key in c:
+            hit = PARTITIONED.match(key)
+            assert not hit or re.fullmatch(r"srv\d+", hit.group(1)), key
         if n > 1:
             # Aligned cells spread work across every instance.
             assert all(v > 0 for v in per_instance), per_instance
@@ -232,7 +240,6 @@ def validate_e18(doc):
 
 
 VALIDATORS = {
-    "e11_server_shard_scaling": validate_e11,
     "e12_callback_batching": validate_e12,
     "e13_client_scaling": validate_e13,
     "e14_recovery_shootout": validate_e14,

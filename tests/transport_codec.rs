@@ -388,7 +388,6 @@ fn hello_ack_round_trips_config() {
         lock_timeout: Duration::from_millis(2500),
         net_latency: Duration::from_micros(40),
         disk_latency: Duration::from_micros(400),
-        server_shards: 4,
         server_instances: 3,
         callback_batching: false,
         group_commit: false,
@@ -399,6 +398,9 @@ fn hello_ack_round_trips_config() {
 
     let segs = frame::encode_hello_ack(&cfg);
     let (_, body) = read_back(&segs, FrameKind::HelloAck, 0);
+    // The handshake carries the codec version first.
+    assert_eq!(frame::WIRE_VERSION, 3);
+    assert_eq!(u16::from_le_bytes([body[0], body[1]]), frame::WIRE_VERSION);
     let back = frame::decode_hello_ack(&body).expect("decode");
     assert_eq!(back.page_size, cfg.page_size);
     assert_eq!(back.client_cache_pages, cfg.client_cache_pages);
@@ -415,7 +417,6 @@ fn hello_ack_round_trips_config() {
     assert_eq!(back.lock_timeout, cfg.lock_timeout);
     assert_eq!(back.net_latency, cfg.net_latency);
     assert_eq!(back.disk_latency, cfg.disk_latency);
-    assert_eq!(back.server_shards, cfg.server_shards);
     assert_eq!(back.server_instances, cfg.server_instances);
     assert_eq!(back.callback_batching, cfg.callback_batching);
     assert_eq!(back.group_commit, cfg.group_commit);
